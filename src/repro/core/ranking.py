@@ -61,7 +61,7 @@ def merge_and_rank(retrieved: Mapping[Key, PostingList],
     :func:`rank_with_margin`, which additionally exposes the threshold
     scores the termination test needs.
     """
-    return _rank_all(retrieved, k)[:k]
+    return _rank_top(retrieved, k, k)
 
 
 def rank_with_margin(retrieved: Mapping[Key, PostingList],
@@ -76,25 +76,39 @@ def rank_with_margin(retrieved: Mapping[Key, PostingList],
     unprobed key can lift a runner-up (or an unseen document, whose
     current score is 0) above ``kth_score``.
     """
-    ranked = _rank_all(retrieved, k)
+    ranked = _rank_top(retrieved, k, k + 1)
     top = ranked[:k]
     kth = top[-1].score if len(top) == k else 0.0
     runner_up = ranked[k].score if len(ranked) > k else 0.0
     return top, kth, runner_up
 
 
-def _rank_all(retrieved: Mapping[Key, PostingList],
-              k: int) -> List[RankedDocument]:
-    """The full greedy-disjoint-cover ranking, all candidates sorted."""
+def _rank_top(retrieved: Mapping[Key, PostingList], k: int,
+              count: int) -> List[RankedDocument]:
+    """The greedy-disjoint-cover ranking, cut to the best ``count``.
+
+    Every candidate is scored, but :class:`RankedDocument` objects are
+    built only for the ``count`` returned.  A document with a single
+    contribution needs no cover: its score is that contribution's.
+    """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
     per_document: Dict[int, List[Tuple[float, Key]]] = {}
+    found = per_document.get
     for key, postings in retrieved.items():
         for posting in postings:
-            per_document.setdefault(posting.doc_id, []).append(
-                (posting.score, key))
-    ranked: List[RankedDocument] = []
+            contributions = found(posting.doc_id)
+            if contributions is None:
+                per_document[posting.doc_id] = [(posting.score, key)]
+            else:
+                contributions.append((posting.score, key))
+    covers: Dict[int, Tuple[Key, ...]] = {}
+    order: List[Tuple[float, int]] = []
     for doc_id, contributions in per_document.items():
+        if len(contributions) == 1:
+            # 0.0 + score: the float the greedy sum below would give.
+            order.append((-(0.0 + contributions[0][0]), doc_id))
+            continue
         # Deterministic greedy order: best score first, then smaller keys
         # (a high-scoring large key should win over its own sub-keys).
         contributions.sort(key=lambda pair: (-pair[0], len(pair[1]),
@@ -108,7 +122,12 @@ def _rank_all(retrieved: Mapping[Key, PostingList],
             chosen.append(key)
             covered |= key.term_set
             total += score
-        ranked.append(RankedDocument(doc_id=doc_id, score=total,
-                                     covering_keys=tuple(chosen)))
-    ranked.sort(key=lambda document: (-document.score, document.doc_id))
-    return ranked
+        covers[doc_id] = tuple(chosen)
+        order.append((-total, doc_id))
+    # Doc ids are unique, so (-score, doc_id) orders totally.
+    order.sort()
+    return [RankedDocument(
+                doc_id=doc_id, score=-negated,
+                covering_keys=(covers[doc_id] if doc_id in covers
+                               else (per_document[doc_id][0][1],)))
+            for negated, doc_id in order[:count]]

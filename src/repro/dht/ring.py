@@ -5,12 +5,23 @@ played by the converged maintenance protocol).  Lookups, however, are
 executed hop by hop through each node's own routing table, so the measured
 hop counts and routing traffic are those of the distributed algorithm, not
 of the oracle.
+
+Every hop is still routed and charged.  Two things are per walk rather
+than per hop: a route memo replays a node's own next-hop choice when it
+made the same choice earlier in this membership epoch (a simulator-side
+cache of that node's decision, never a shortcut past it), and the
+``LookupHop`` accounting of a finished path — or of a batched walk — is
+settled in one transport call
+(:meth:`~repro.net.transport.SimTransport.deliver_hops`) with the same
+bytes, per-destination loads, latency draws and failure hop as per-hop
+delivery.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.dht.idspace import ID_BITS
@@ -105,11 +116,12 @@ class DHTRing:
         #: routes and traffic do not change; ``lazy_tables=False``
         #: restores the eager behaviour for A/B benchmarking.
         self.lazy_tables = lazy_tables
-        #: Route accounted hops through the transport's ``deliver_hop``
-        #: fast path (precomputed wire sizes, no per-hop ``Message``
-        #: objects) when the backend offers one.  Byte/trace-identical
-        #: to the message path; off by default so directly constructed
-        #: rings keep the historical, endpoint-visible hop messages.
+        #: Settle accounted hops through the transport's
+        #: ``deliver_hops`` (precomputed wire sizes, no per-hop
+        #: ``Message`` objects) when the backend offers it, and keep the
+        #: route memo.  Byte/trace-identical to the message path; off by
+        #: default so directly constructed rings keep the historical,
+        #: endpoint-visible hop messages.
         self.fast_hops = fast_hops
         #: Array-of-struct membership: with ``compact_nodes`` the ring
         #: records membership in a plain id set + sorted list and
@@ -126,23 +138,27 @@ class DHTRing:
         #: Incremented on every membership change; lets caches of
         #: key->owner resolutions detect staleness cheaply.
         self.membership_epoch = 0
-        #: Greedy-route memo (``fast_hops`` only): node id -> {key id ->
-        #: next hop, or ``_ROUTE_OWNED``}.  Within one membership epoch
-        #: the greedy choice is a pure function of (node, key), so
-        #: repeated routes replay from the memo — the *same* hop
-        #: messages are still sent, only the finger-table scans are
-        #: skipped.  Cleared wholesale on any membership change.
+        #: Greedy-route memo (``fast_hops`` only), shared by
+        #: ``lookup``, ``lookup_many`` and ``lookup_many_async``: key id
+        #: -> {node id -> that node's next hop, or ``_ROUTE_OWNED``}
+        #: (key-major, so a lookup's walk probes one dict).  Within one
+        #: membership epoch the greedy choice is a pure function of
+        #: (node, key), so repeated routes replay from the memo — the
+        #: *same* hop messages are still sent, only the finger-table
+        #: scans are skipped.  Cleared wholesale on any membership
+        #: change.
         self._route_cache: Dict[int, Dict[int, int]] = {}
         self._route_entries = 0
         self._route_epoch = -1
-        #: Key -> owner memo (bulk batched lookups only): once a batch
-        #: walk resolved a key, later batches from *any* source resolve
-        #: it directly — the standard DHT routing-cache shortcut (a
-        #: peer that already knows a key's owner addresses it without
-        #: re-routing), so the cached keys cost no further lookup
-        #: traffic.  Shares the route memo's epoch lifetime: cleared
-        #: wholesale on any membership change, so it can never serve a
-        #: stale owner.
+        #: Key -> owner memo (batched lookups whose hops are pure
+        #: accounting, see ``SimTransport.pure_hop_delivery``): once a
+        #: batch walk resolved a key, later batches from *any* source
+        #: resolve it directly — the standard DHT routing-cache
+        #: shortcut (a peer that already knows a key's owner addresses
+        #: it without re-routing), so the cached keys cost no further
+        #: lookup traffic.  Shares the route memo's epoch lifetime:
+        #: cleared wholesale on any membership change, so it can never
+        #: serve a stale owner.
         self._owner_cache: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
@@ -286,7 +302,9 @@ class DHTRing:
     def _fresh(self, node_id: int) -> DHTNode:
         """Return ``node_id``'s node with tables valid for the current
         membership, recomputing them (lazily, churn-locally) if stale."""
-        node = self._node_for(node_id)
+        node = self._nodes.get(node_id)
+        if node is None:
+            node = self._node_for(node_id)
         if node.table_epoch != self.membership_epoch:
             self._refresh_node(node)
         return node
@@ -299,6 +317,25 @@ class DHTRing:
             self._route_entries = 0
             self._route_epoch = self.membership_epoch
         return self._route_cache
+
+    def _route_step(self, node_id: int, key_id: int) -> int:
+        """``node_id``'s own greedy next hop toward ``key_id``
+        (``_ROUTE_OWNED`` when it owns the key), recorded in the route
+        memo under ``fast_hops``.  Callers read the memo first, through
+        :meth:`_route_table`, so it is fresh for this epoch."""
+        node = self._fresh(node_id)
+        if node.owns(key_id, node.predecessor):
+            next_id = _ROUTE_OWNED
+        else:
+            next_id = (node.next_hop_fast(key_id) if self.fast_hops
+                       else node.next_hop(key_id))
+            if next_id is None:
+                next_id = node.successor
+        if (self.fast_hops
+                and self._route_entries < _ROUTE_CACHE_MAX_ENTRIES):
+            self._route_cache.setdefault(key_id, {})[node_id] = next_id
+            self._route_entries += 1
+        return next_id
 
     def _refresh_node(self, node: DHTNode) -> None:
         """Recompute one node's fingers/successors from current membership.
@@ -338,53 +375,37 @@ class DHTRing:
                account: bool = False) -> LookupResult:
         """Route from ``source_id`` to the owner of ``key_id``.
 
-        Follows each node's greedy next-hop choice; the membership oracle is
-        used only for the local ownership test (a node knowing its
-        predecessor).  With ``account=True`` and a transport attached, each
-        hop sends a small ``LookupHop`` message so routing traffic shows up
-        in the byte accounting.
+        Follows each node's own greedy next-hop choice (with
+        ``fast_hops``, replayed from the route memo once the node made
+        it in this membership epoch); the membership oracle is used only
+        for the local ownership test (a node knowing its predecessor).
+        With ``account=True`` and a transport attached, every hop of the
+        path is a ``LookupHop`` message.  Under ``fast_hops`` the walk
+        first reaches the owner and the whole path is then settled in
+        one :meth:`~repro.net.transport.SimTransport.deliver_hops` call —
+        the same messages, bytes, per-destination loads and latency
+        draws as per-hop delivery, and a ``DeliveryError`` at the same
+        hop; otherwise each hop is a full ``request`` the destination
+        endpoint sees.
         """
         self.ensure_tables()
         if source_id not in self._members:
             raise KeyError(f"source node {source_id} not present")
-        deliver = (getattr(self.transport, "deliver_hop", None)
-                   if (self.fast_hops and account
-                       and self.transport is not None) else None)
+        fast = self.fast_hops
+        # This key's memoized next hops (an always-empty view without
+        # ``fast_hops``, so every step computes its hop).
+        route_get = (self._route_table().setdefault(key_id, {}) if fast
+                     else {}).get
         current = source_id
         path = [current]
         hops = 0
         max_hops = 2 * ID_BITS + self.size
-        fast = self.fast_hops
-        table = self._route_table() if fast else None
         while True:
-            next_id = None
-            if table is not None:
-                node_routes = table.get(current)
-                if node_routes is not None:
-                    next_id = node_routes.get(key_id)
+            next_id = route_get(current)
             if next_id is None:
-                node = self._fresh(current)
-                if node.owns(key_id, node.predecessor):
-                    next_id = _ROUTE_OWNED
-                else:
-                    next_id = (node.next_hop_fast(key_id) if fast
-                               else node.next_hop(key_id))
-                    if next_id is None:
-                        next_id = node.successor
-                if (table is not None
-                        and self._route_entries < _ROUTE_CACHE_MAX_ENTRIES):
-                    table.setdefault(current, {})[key_id] = next_id
-                    self._route_entries += 1
+                next_id = self._route_step(current, key_id)
             if next_id == _ROUTE_OWNED:
-                return LookupResult(key_id=key_id, owner=current,
-                                    hops=hops, path=path)
-            if deliver is not None:
-                deliver(current, next_id, HOP_MESSAGE_BYTES)
-            elif account and self.transport is not None:
-                message = Message(src=current, dst=next_id,
-                                  kind="LookupHop",
-                                  payload={"key_id": key_id})
-                self.transport.request(message)
+                break
             current = next_id
             path.append(current)
             hops += 1
@@ -392,6 +413,19 @@ class DHTRing:
                 raise RuntimeError(
                     f"lookup for {key_id} exceeded {max_hops} hops; "
                     "routing tables are inconsistent")
+        transport = self.transport
+        if account and hops and transport is not None:
+            deliver = (getattr(transport, "deliver_hops", None)
+                       if fast else None)
+            if deliver is not None:
+                deliver(zip(path, path[1:], repeat(HOP_MESSAGE_BYTES)))
+            else:
+                for src, dst in zip(path, path[1:]):
+                    transport.request(Message(src=src, dst=dst,
+                                              kind="LookupHop",
+                                              payload={"key_id": key_id}))
+        return LookupResult(key_id=key_id, owner=current, hops=hops,
+                            path=path)
 
     def lookup_many(self, source_id: int, key_ids: Iterable[int],
                     account: bool = False) -> BatchLookupResult:
@@ -402,36 +436,30 @@ class DHTRing:
         taking the same hop travel in one combined ``LookupHop`` message,
         so finger-table traversals are shared and the per-key message
         cost is amortized across the batch (the lattice-frontier batching
-        of the query engine).
+        of the query engine).  Under ``fast_hops`` the walk's hop
+        messages are settled in one ``deliver_hops`` call, like the path
+        of :meth:`lookup`.
         """
         self.ensure_tables()
         if source_id not in self._members:
             raise KeyError(f"source node {source_id} not present")
-        deliver = (getattr(self.transport, "deliver_hop", None)
+        transport = self.transport
+        deliver = (getattr(transport, "deliver_hops", None)
                    if (self.fast_hops and account
-                       and self.transport is not None) else None)
-        # Bulk hop accounting (see SimTransport.begin_hop_bulk): hops
-        # accumulate in ``hop_acc`` (dst -> [messages, bytes]) and are
-        # settled in one flush, replacing a per-hop delivery call.
-        live = None
-        hop_acc: Optional[Dict[int, List[int]]] = None
-        if deliver is not None:
-            begin_bulk = getattr(self.transport, "begin_hop_bulk", None)
-            live = begin_bulk() if begin_bulk is not None else None
-            if live is not None:
-                hop_acc = {}
+                       and transport is not None) else None)
         fast = self.fast_hops
         routes = self._route_table() if fast else {}
         pending = sorted(set(key_ids))
         owners: Dict[int, int] = {}
         per_key_hops: Dict[int, int] = {key_id: 0 for key_id in pending}
-        # Routing-cache shortcut, bulk accounting mode only (where hop
-        # effects are pure accounting): a key whose owner is already
-        # memoized for this membership epoch resolves directly — the
-        # source addresses the owner without re-routing, so the key
-        # costs no lookup traffic and no forwarding hops.
+        # Routing-cache shortcut, only where hop effects are pure
+        # accounting: a key whose owner is already memoized for this
+        # membership epoch resolves directly — the source addresses the
+        # owner without re-routing, so the key costs no lookup traffic
+        # and no forwarding hops.
         owner_cache = (self._owner_cache
-                       if fast and hop_acc is not None else None)
+                       if deliver is not None and transport.pure_hop_delivery
+                       else None)
         if owner_cache:
             cached_get = owner_cache.get
             unresolved = []
@@ -444,31 +472,33 @@ class DHTRing:
             pending = unresolved
         frontier: Dict[int, List[int]] = (
             {source_id: pending} if pending else {})
-        messages = 0
-        rounds = 0
-        max_rounds = 2 * ID_BITS + self.size
+        # (src, dst, size) of every hop message, settled after the walk.
+        sent: Optional[List[Tuple[int, int, int]]] = (
+            [] if deliver is not None else None)
         try:
             result = self._lookup_many_rounds(
-                frontier, owners, per_key_hops, routes, fast, deliver,
-                live, hop_acc, account, messages, rounds, max_rounds)
+                frontier, owners, per_key_hops, routes, fast, sent,
+                account)
         finally:
-            # Settle accumulated bulk hops even when a delivery error
-            # aborts the walk: exactly the hops per-hop delivery would
-            # have accounted before raising.
-            if hop_acc:
-                self.transport.flush_hop_bulk(hop_acc)
+            # Settled even when the walk aborts: exactly the hops sent
+            # before the failure, as per-hop delivery would have.
+            if sent:
+                deliver(sent)
         if (owner_cache is not None
                 and len(owner_cache) < _ROUTE_CACHE_MAX_ENTRIES):
             owner_cache.update(result.owners)
         return result
 
     def _lookup_many_rounds(self, frontier, owners, per_key_hops, routes,
-                            fast, deliver, live, hop_acc, account,
-                            messages, rounds, max_rounds):
+                            fast, sent, account):
         """The frontier walk of :meth:`lookup_many` (split out so the
-        bulk-hop flush wraps it in one ``finally``)."""
+        hop settlement wraps it in one ``finally``)."""
         owned = _ROUTE_OWNED
         cache_cap = _ROUTE_CACHE_MAX_ENTRIES
+        routes_get = routes.get
+        messages = 0
+        rounds = 0
+        max_rounds = 2 * ID_BITS + self.size
         while frontier:
             rounds += 1
             if rounds > max_rounds:
@@ -483,17 +513,12 @@ class DHTRing:
                 node = None
                 hop = None
                 predecessor = 0
-                # Node-major memo orientation: one hoisted dict per
-                # frontier node, a single probe per key step (bound
-                # methods hoisted out of the key loop).
-                node_routes = routes.get(node_id) if fast else None
-                route_get = (node_routes.get
-                             if node_routes is not None else None)
                 by_next: Dict[int, List[int]] = {}
                 by_next_get = by_next.get
                 for key_id in frontier[node_id]:
-                    next_id = (route_get(key_id)
-                               if route_get is not None else None)
+                    key_routes = routes_get(key_id)
+                    next_id = (key_routes.get(node_id)
+                               if key_routes is not None else None)
                     if next_id is None:
                         if node is None:
                             node = self._fresh(node_id)
@@ -507,11 +532,7 @@ class DHTRing:
                             if next_id is None:
                                 next_id = node.successor
                         if fast and self._route_entries < cache_cap:
-                            if node_routes is None:
-                                node_routes = routes.setdefault(
-                                    node_id, {})
-                                route_get = node_routes.get
-                            node_routes[key_id] = next_id
+                            routes.setdefault(key_id, {})[node_id] = next_id
                             self._route_entries += 1
                     if next_id == owned:
                         # Forwarded once per completed earlier round.
@@ -529,22 +550,10 @@ class DHTRing:
                            else sorted(by_next))
                 for next_id in targets:
                     batch = by_next[next_id]
-                    if hop_acc is not None and next_id in live:
-                        size = (HOP_BATCH_BASE_BYTES
-                                + HOP_KEY_BYTES * len(batch))
-                        entry = hop_acc.get(next_id)
-                        if entry is None:
-                            hop_acc[next_id] = [1, size]
-                        else:
-                            entry[0] += 1
-                            entry[1] += size
-                    elif deliver is not None:
-                        # Unregistered destinations fall through to
-                        # deliver_hop, which raises the DeliveryError
-                        # per-hop delivery would.
-                        deliver(node_id, next_id,
-                                HOP_BATCH_BASE_BYTES
-                                + HOP_KEY_BYTES * len(batch))
+                    if sent is not None:
+                        sent.append((node_id, next_id,
+                                     HOP_BATCH_BASE_BYTES
+                                     + HOP_KEY_BYTES * len(batch)))
                     elif account and self.transport is not None:
                         message = Message(src=node_id, dst=next_id,
                                           kind="LookupHop",
@@ -619,10 +628,10 @@ class DHTRing:
                     f"for keys {unresolved[:4]}...; routing tables are "
                     "inconsistent")
             hops: List[Tuple[int, int, List[int]]] = []
+            # Re-read every round: membership may have moved mid-flight.
+            routes = self._route_table() if self.fast_hops else {}
             for node_id in sorted(frontier):
-                node = (self._fresh(node_id) if node_id in self._members
-                        else None)
-                if node is None:
+                if node_id not in self._members:
                     # The routing node departed while keys were headed to
                     # it; restart from the source or fall back to the
                     # ownership oracle.
@@ -632,17 +641,14 @@ class DHTRing:
                         else:
                             owners[key_id] = self.successor_of(key_id)
                     continue
-                predecessor = self.predecessor_of(node_id)
-                hop = (node.next_hop_fast if self.fast_hops
-                       else node.next_hop)
                 by_next: Dict[int, List[int]] = {}
                 for key_id in frontier[node_id]:
-                    if node.owns(key_id, predecessor):
+                    next_id = routes.get(key_id, {}).get(node_id)
+                    if next_id is None:
+                        next_id = self._route_step(node_id, key_id)
+                    if next_id == _ROUTE_OWNED:
                         owners[key_id] = node_id
                         continue
-                    next_id = hop(key_id)
-                    if next_id is None:
-                        next_id = node.successor
                     by_next.setdefault(next_id, []).append(key_id)
                 for next_id in sorted(by_next):
                     hops.append((node_id, next_id, by_next[next_id]))
@@ -658,10 +664,12 @@ class DHTRing:
                 for key_id in batch:
                     per_key_hops[key_id] += 1
                 if account and self.transport is not None:
+                    size = HOP_BATCH_BASE_BYTES + HOP_KEY_BYTES * len(batch)
                     hop_message = Message(src=node_id, dst=next_id,
                                           kind="LookupHop",
-                                          payload={"key_ids": batch})
-                    message_bytes.append(hop_message.size_bytes())
+                                          payload={"key_ids": batch},
+                                          _cached_size=size)
+                    message_bytes.append(size)
                     sends.append((self.transport.request_async(hop_message),
                                   node_id, next_id, batch))
                 else:

@@ -42,7 +42,15 @@ untouched.
 
 Every byte is accounted twice over: globally per message kind
 (``net.bytes.sent.<kind>``) and per destination peer (for load-balance
-metrics).
+metrics).  Routed ``LookupHop`` messages skip the ``Message`` path:
+:meth:`SimTransport.deliver_hops` takes a lookup's whole path (or a
+batched walk's hop list) as ``(src, dst, size)`` triples.  While a hop
+is pure accounting — constant latency and no partition — the path is
+settled in one pass, charging every hop to its destination and the
+per-kind and global counters once; otherwise each hop is delivered in
+turn with its own latency draw.  The totals, the per-destination loads
+and the hop at which an unreachable destination raises
+:class:`DeliveryError` are the same either way.
 """
 
 from __future__ import annotations
@@ -51,7 +59,8 @@ import collections
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Mapping, Optional, Protocol, Tuple
+from typing import (Callable, Deque, Dict, Iterable, Mapping, Optional,
+                    Protocol, Tuple)
 
 from repro.net.latency import ConstantLatency, LatencyModel
 from repro.net.message import Message
@@ -312,12 +321,24 @@ class SimTransport:
         self._account_raw(message.kind, message.dst, message.size_bytes())
 
     def _account_raw(self, kind: str, dst: int, size: int) -> None:
-        """Accounting with cached counter objects.
+        """Accounting with cached counter objects.  Sizes are always
+        non-negative (wire-size model), so the values are bumped
+        directly."""
+        msgs_total, bytes_total, msgs_kind, bytes_kind = self._counters(kind)
+        msgs_total.value += 1.0
+        bytes_total.value += size
+        msgs_kind.value += 1.0
+        bytes_kind.value += size
+        self.bytes_in[dst] = self.bytes_in.get(dst, 0) + size
+        self.msgs_in[dst] = self.msgs_in.get(dst, 0) + 1
+
+    def _counters(self, kind: str) -> Tuple:
+        """The global and per-kind ``(msgs, bytes)`` ``Counter`` objects.
 
         ``metrics.counter(name)`` is two dict probes plus an f-string per
-        call; at 100k-peer indexing scale that dominated delivery.  Sizes
-        are always non-negative (wire-size model), so the values are
-        bumped directly.
+        call; at 100k-peer indexing scale that dominated delivery, so
+        the objects are cached until the registry's generation moves
+        (``MetricsRegistry.reset`` drops them).
         """
         metrics = self.simulator.metrics
         if metrics.generation != self._counter_gen:
@@ -327,16 +348,11 @@ class SimTransport:
                                     metrics.counter("net.bytes.sent"))
         counters = self._counter_cache.get(kind)
         if counters is None:
-            counters = (metrics.counter(f"net.msgs.sent.{kind}"),
-                        metrics.counter(f"net.bytes.sent.{kind}"))
+            counters = self._total_counters + (
+                metrics.counter(f"net.msgs.sent.{kind}"),
+                metrics.counter(f"net.bytes.sent.{kind}"))
             self._counter_cache[kind] = counters
-        msgs_total, bytes_total = self._total_counters
-        msgs_total.value += 1.0
-        bytes_total.value += size
-        counters[0].value += 1.0
-        counters[1].value += size
-        self.bytes_in[dst] = self.bytes_in.get(dst, 0) + size
-        self.msgs_in[dst] = self.msgs_in.get(dst, 0) + 1
+        return counters
 
     def reset_load_counters(self) -> None:
         """Zero the per-peer inbound counters (between experiment phases).
@@ -523,78 +539,70 @@ class SimTransport:
                                           reply.size_bytes())
         return reply, elapsed
 
-    def deliver_hop(self, src: int, dst: int, size: int) -> float:
-        """Fast path for one routing hop: account + latency, no objects.
+    @property
+    def pure_hop_delivery(self) -> bool:
+        """True while delivering a routed hop is pure accounting.
 
         ``LookupHop`` handlers are no-ops (routing decisions live in the
-        ring, not the endpoint), so a full :meth:`request` — Message
-        construction, handler dispatch, reply bookkeeping — is pure
-        overhead per hop.  This delivers the same observable effects
-        (byte/message accounting against the precomputed wire ``size``,
-        one latency draw from the same RNG stream, churn/partition
-        failure semantics) and returns the one-way delay.
+        ring, not the endpoint), so a hop's only effects are its
+        byte/message accounting, one latency draw and its failure
+        check.  With constant latency the draw consumes no randomness
+        and routing discards its value, and without a partition the
+        only failure is an unregistered destination — so a whole path
+        can be settled at once (see :meth:`deliver_hops`).
         """
-        if dst not in self._endpoints:
-            raise DeliveryError(f"no endpoint registered for peer {dst}")
-        if self._partitioned(src, dst):
-            raise DeliveryError(
-                f"peer {dst} unreachable from {src}: network partition")
-        self._account_raw("LookupHop", dst, size)
-        return self.latency.delay(self.rng, src, dst, size)
+        return (self._partition_of is None
+                and isinstance(self.latency, ConstantLatency))
 
-    def begin_hop_bulk(self):
-        """Live-endpoint view for bulk hop accounting, or ``None``.
+    def deliver_hops(self, hops: Iterable[Tuple[int, int, int]]) -> None:
+        """Deliver routed ``LookupHop`` messages, given as ``(src, dst,
+        size)`` triples in send order, without per-hop objects.
 
-        Bulk mode lets a batched routing round accumulate its
-        ``LookupHop`` deliveries locally and settle them in one
-        :meth:`flush_hop_bulk` call, skipping the per-hop
-        :meth:`deliver_hop` overhead.  It is only offered when per-hop
-        delivery has no observable effect beyond accounting: constant
-        latency (the per-hop delay draw consumes no randomness and its
-        value is discarded by batched routing) and no active partition
-        (so the only failure mode is an unregistered destination, which
-        the caller checks against the returned view).  Totals are
-        identical to per-hop delivery in every case.
+        Under :attr:`pure_hop_delivery` the hops are settled in one
+        pass: the per-destination load per hop, the per-kind and global
+        counters once.  Otherwise each hop is delivered in turn, as
+        :meth:`request` would deliver it: failure checks, accounting
+        against the precomputed wire ``size``, one latency draw from the
+        transport RNG.  Either way a hop to an unregistered (or
+        partitioned-off) destination raises :class:`DeliveryError` after
+        exactly the hops before it were accounted.
         """
-        if self._partition_of is not None:
-            return None
-        if not isinstance(self.latency, ConstantLatency):
-            return None
-        return self._endpoints.keys()
-
-    def flush_hop_bulk(self, counts: Dict[int, list]) -> None:
-        """Settle hops accumulated under :meth:`begin_hop_bulk`.
-
-        ``counts`` maps destination id to ``[messages, bytes]``.  The
-        effect equals calling :meth:`deliver_hop` once per message.
-        """
-        metrics = self.simulator.metrics
-        if metrics.generation != self._counter_gen:
-            self._counter_cache = {}
-            self._counter_gen = metrics.generation
-            self._total_counters = (metrics.counter("net.msgs.sent"),
-                                    metrics.counter("net.bytes.sent"))
-        counters = self._counter_cache.get("LookupHop")
-        if counters is None:
-            counters = (metrics.counter("net.msgs.sent.LookupHop"),
-                        metrics.counter("net.bytes.sent.LookupHop"))
-            self._counter_cache["LookupHop"] = counters
+        endpoints = self._endpoints
+        if not self.pure_hop_delivery:
+            for src, dst, size in hops:
+                if dst not in endpoints:
+                    raise DeliveryError(
+                        f"no endpoint registered for peer {dst}")
+                if self._partitioned(src, dst):
+                    raise DeliveryError(
+                        f"peer {dst} unreachable from {src}: "
+                        "network partition")
+                self._account_raw("LookupHop", dst, size)
+                self.latency.delay(self.rng, src, dst, size)
+            return
         bytes_in = self.bytes_in
         msgs_in = self.msgs_in
-        total_msgs = 0
-        total_bytes = 0
-        # Direct indexing: every destination came from the live-endpoint
-        # view, and register() seeds both load dicts for live peers.
-        for dst, (msgs, size) in counts.items():
-            total_msgs += msgs
-            total_bytes += size
-            bytes_in[dst] += size
-            msgs_in[dst] += msgs
-        msgs_total, bytes_total = self._total_counters
-        msgs_total.value += float(total_msgs)
-        bytes_total.value += total_bytes
-        counters[0].value += float(total_msgs)
-        counters[1].value += total_bytes
+        count = 0
+        total = 0
+        try:
+            # Direct indexing: register() seeds both load dicts for
+            # every live endpoint.
+            for _src, dst, size in hops:
+                if dst not in endpoints:
+                    raise DeliveryError(
+                        f"no endpoint registered for peer {dst}")
+                bytes_in[dst] += size
+                msgs_in[dst] += 1
+                count += 1
+                total += size
+        finally:
+            if count:
+                msgs_total, bytes_total, msgs_kind, bytes_kind = (
+                    self._counters("LookupHop"))
+                msgs_total.value += count
+                bytes_total.value += total
+                msgs_kind.value += count
+                bytes_kind.value += total
 
     def send_local(self, message: Message) -> Optional[Message]:
         """Loopback delivery: no bytes accounted, no latency.

@@ -7,8 +7,9 @@ run in scheduling order and the simulation is fully deterministic.
 The kernel is the innermost loop of every benchmark, so the default
 :class:`Event`/:class:`EventQueue` pair is written for raw speed:
 
-* ``Event`` is a ``__slots__`` class with a hand-rolled ``__lt__`` over
-  the packed ``(time, sequence)`` pair — no dataclass tuple comparison,
+* Heap entries are ``(time, sequence, event)`` tuples, so every heap
+  comparison is a C-level tuple compare (sequences are unique: the event
+  itself is never compared), and ``Event`` is a ``__slots__`` handle —
   no per-event ``__dict__``, no bound-method cancel hook.
 * Lazy deletion of cancelled events lives in exactly one place
   (:meth:`EventQueue._purge_cancelled_head`), shared by ``pop`` and
@@ -45,12 +46,13 @@ __all__ = ["Event", "EventQueue", "Simulator",
 class Event:
     """A scheduled callback.
 
-    Ordering compares the packed ``(time, sequence)`` pair only; the
-    callback is excluded.  ``_queue`` is a back-pointer to the owning
-    queue while the event sits on its heap — it is how ``cancel``
-    maintains the queue's live counter in O(1) without a per-event
-    closure — and is cleared once the event pops (so cancelling an
-    already-executed event is a no-op that cannot corrupt the counter).
+    The queue orders events by their ``(time, sequence)`` heap entry;
+    events themselves define no ordering.  ``_queue`` is a back-pointer
+    to the owning queue while the event sits on its heap — it is how
+    ``cancel`` maintains the queue's live counter in O(1) without a
+    per-event closure — and is cleared once the event pops (so
+    cancelling an already-executed event is a no-op that cannot corrupt
+    the counter).
     """
 
     __slots__ = ("time", "sequence", "callback", "cancelled", "_queue")
@@ -63,16 +65,6 @@ class Event:
         self.callback = callback
         self.cancelled = False
         self._queue = queue
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.sequence < other.sequence
-
-    def __le__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.sequence <= other.sequence
 
     def cancel(self) -> None:
         """Mark the event so the simulator skips it when popped."""
@@ -91,7 +83,7 @@ class Event:
 
 
 class EventQueue:
-    """Min-heap of :class:`Event` objects.
+    """Min-heap of ``(time, sequence, event)`` entries.
 
     Keeps a live non-cancelled counter so ``len``/``bool`` — called from
     hot simulation loops — are O(1) instead of a full heap scan.
@@ -102,7 +94,7 @@ class EventQueue:
     __slots__ = ("_heap", "_sequence", "_live")
 
     def __init__(self):
-        self._heap: List[Event] = []
+        self._heap: List[Tuple[float, int, Event]] = []
         self._sequence = 0
         self._live = 0
 
@@ -112,7 +104,7 @@ class EventQueue:
         self._sequence = sequence + 1
         event = Event(time, sequence, callback, self)
         self._live += 1
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, sequence, event))
         return event
 
     def push_many(self, entries: Iterable[Tuple[float, Callable[[], None]]]
@@ -131,19 +123,20 @@ class EventQueue:
         self._sequence = sequence + len(events)
         self._live += len(events)
         heap = self._heap
-        if len(events) * 4 >= len(heap):
-            heap.extend(events)
+        entries = [(event.time, event.sequence, event) for event in events]
+        if len(entries) * 4 >= len(heap):
+            heap.extend(entries)
             heapq.heapify(heap)
         else:
-            for event in events:
-                heapq.heappush(heap, event)
+            for entry in entries:
+                heapq.heappush(heap, entry)
         return events
 
     def _purge_cancelled_head(self) -> None:
         """Drop cancelled events from the heap head (the one lazy-deletion
         path, shared by ``pop`` and ``peek_time``)."""
         heap = self._heap
-        while heap and heap[0].cancelled:
+        while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
 
     def pop(self) -> Optional[Event]:
@@ -152,7 +145,7 @@ class EventQueue:
         heap = self._heap
         if not heap:
             return None
-        event = heapq.heappop(heap)
+        event = heapq.heappop(heap)[2]
         # Detach the queue back-pointer: cancelling an already-executed
         # event must not corrupt the live counter.
         event._queue = None
@@ -165,7 +158,7 @@ class EventQueue:
         heap = self._heap
         heappop = heapq.heappop
         while heap and len(events) < max_count:
-            event = heappop(heap)
+            event = heappop(heap)[2]
             if event.cancelled:
                 continue
             event._queue = None
@@ -179,7 +172,7 @@ class EventQueue:
         heap = self._heap
         if not heap:
             return None
-        return heap[0].time
+        return heap[0][0]
 
     def __len__(self) -> int:
         return self._live
@@ -425,16 +418,16 @@ class Simulator:
             while heap:
                 if processed == limit:
                     break
-                event = heap[0]
+                time, _sequence, event = heap[0]
                 if event.cancelled:
                     heappop(heap)
                     continue
-                if end_time is not None and event.time > end_time:
+                if end_time is not None and time > end_time:
                     break
                 heappop(heap)
                 event._queue = None
                 queue._live -= 1
-                clock._now = event.time
+                clock._now = time
                 event.callback()
                 processed += 1
         finally:

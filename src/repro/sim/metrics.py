@@ -60,6 +60,9 @@ class MetricsRegistry:
     def __init__(self):
         self._counters: Dict[str, Counter] = {}
         self._histograms: Dict[str, Histogram] = {}
+        #: prefix -> the counters under it, in creation order; dropped
+        #: whenever a counter is created, so a view never misses one.
+        self._prefix_views: Dict[str, List[Counter]] = {}
         #: Bumped on :meth:`reset` so callers holding direct ``Counter``
         #: references (the transport's accounting fast path) can detect
         #: that their cached objects were dropped from the registry.
@@ -67,9 +70,11 @@ class MetricsRegistry:
 
     def counter(self, name: str) -> Counter:
         """Return (creating if needed) the counter called ``name``."""
-        if name not in self._counters:
-            self._counters[name] = Counter(name)
-        return self._counters[name]
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = Counter(name)
+            self._prefix_views.clear()
+        return counter
 
     def histogram(self, name: str) -> Histogram:
         """Return (creating if needed) the histogram called ``name``."""
@@ -83,10 +88,18 @@ class MetricsRegistry:
         return counter.value if counter is not None else default
 
     def counters_with_prefix(self, prefix: str) -> Mapping[str, float]:
-        """Return ``{name: value}`` for all counters under ``prefix``."""
-        return {name: counter.value
-                for name, counter in self._counters.items()
-                if name.startswith(prefix)}
+        """Return ``{name: value}`` for all counters under ``prefix``.
+
+        The matching counters are found once per prefix and reused until
+        the next counter is created, so repeated snapshots (two per
+        synchronous query) do not scan the whole registry.
+        """
+        view = self._prefix_views.get(prefix)
+        if view is None:
+            view = self._prefix_views[prefix] = [
+                counter for name, counter in self._counters.items()
+                if name.startswith(prefix)]
+        return {counter.name: counter.value for counter in view}
 
     def total_with_prefix(self, prefix: str) -> float:
         """Sum of all counters whose name starts with ``prefix``."""
@@ -96,6 +109,7 @@ class MetricsRegistry:
         """Drop all recorded metrics (used between experiment phases)."""
         self._counters.clear()
         self._histograms.clear()
+        self._prefix_views.clear()
         self.generation += 1
 
     def snapshot(self, include_process: bool = False) -> Dict[str, float]:

@@ -13,6 +13,9 @@ from repro.dht.routing import (
     skewed_ids,
     uniform_ids,
 )
+from repro.net.latency import ConstantLatency, UniformLatency
+from repro.net.transport import DeliveryError, SimTransport
+from repro.sim.events import Simulator
 
 
 def _build_ring(ids, strategy):
@@ -349,3 +352,107 @@ class TestBatchedLookupMatchesSingular:
         singular_messages = sum(ring.lookup(source, key).hops
                                 for key in keys)
         assert batch.messages <= singular_messages
+
+
+class _Sink:
+    """An endpoint whose hop handler does nothing, like a real peer's."""
+
+    def on_message(self, message):
+        return None
+
+
+def _twin_rings(ids, latency):
+    """A ``fast_hops`` ring (paths settled in one ``deliver_hops`` call)
+    and a reference ring (one ``request`` per hop message), each on its
+    own transport with the same endpoints, latency model and RNG seed."""
+    rings = []
+    for fast in (True, False):
+        transport = SimTransport(Simulator(), latency, random.Random(77))
+        for node_id in ids:
+            transport.register(node_id, _Sink())
+        ring = DHTRing(HopSpaceFingers(), transport, fast_hops=fast)
+        for node_id in ids:
+            ring.add_node(node_id)
+        rings.append(ring)
+    return rings
+
+
+def _accounting(ring):
+    transport = ring.transport
+    return (dict(transport.simulator.metrics.counters_with_prefix("net.")),
+            dict(transport.bytes_in), dict(transport.msgs_in))
+
+
+def _hops_sent(ring):
+    return ring.transport.simulator.metrics.counter_value(
+        "net.msgs.sent.LookupHop")
+
+
+class TestHopSettlement:
+    """Settling a routed path in one transport call is indistinguishable
+    from delivering its hops one message at a time."""
+
+    @pytest.mark.parametrize("seed,size", [(31, 20), (32, 64), (33, 150)])
+    @pytest.mark.parametrize("latency", [ConstantLatency(0.02),
+                                         UniformLatency(0.01, 0.1)])
+    def test_lookups_match_per_hop_delivery(self, seed, size, latency):
+        rng = random.Random(seed)
+        ids = uniform_ids(rng, size)
+        settled, reference = _twin_rings(ids, latency)
+        keys = [random_id(rng) for _ in range(12)]
+        # Repeated (source, key) pairs replay routes from the memo.
+        pairs = [(rng.choice(ids), rng.choice(keys)) for _ in range(120)]
+        for source, key in pairs:
+            got = settled.lookup(source, key, account=True)
+            want = reference.lookup(source, key, account=True)
+            assert (got.owner, got.hops, got.path) == \
+                (want.owner, want.hops, want.path)
+        batch = rng.sample(keys, 8)
+        got = settled.lookup_many(ids[0], batch, account=True)
+        want = reference.lookup_many(ids[0], batch, account=True)
+        assert (got.owners, got.messages, got.per_key_hops) == \
+            (want.owners, want.messages, want.per_key_hops)
+        assert _hops_sent(settled) > 0
+        assert _accounting(settled) == _accounting(reference)
+        # Same number of latency draws, in the same order.
+        assert settled.transport.rng.getstate() == \
+            reference.transport.rng.getstate()
+
+    def _failing_path(self, seed, size):
+        """Ring ids plus a (source, key) whose path is at least 3 hops."""
+        rng = random.Random(seed)
+        ids = uniform_ids(rng, size)
+        probe = _build_ring(ids, HopSpaceFingers())
+        while True:
+            source, key = rng.choice(ids), random_id(rng)
+            path = probe.lookup(source, key).path
+            if len(path) >= 4:
+                return ids, source, key, path
+
+    @pytest.mark.parametrize("fault", ["half_dead", "partition"])
+    @pytest.mark.parametrize("latency", [ConstantLatency(0.02),
+                                         UniformLatency(0.01, 0.1)])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_failure_raised_at_the_same_hop(self, fault, latency, batched):
+        ids, source, key, path = self._failing_path(41, 128)
+        victim = path[2]            # reached by the path's second hop
+        rings = _twin_rings(ids, latency)
+        for ring in rings:
+            # Warm the memo and the counters with a clean lookup first.
+            ring.lookup(source, key, account=True)
+            if fault == "half_dead":
+                ring.transport.unregister(victim)   # still a ring member
+            else:
+                ring.transport.set_partition({victim: 1})
+            with pytest.raises(DeliveryError):
+                if batched:
+                    ring.lookup_many(source, [key], account=True)
+                else:
+                    ring.lookup(source, key, account=True)
+        settled, reference = rings
+        hops_before = len(path) - 1
+        # The first hop was accounted; the failing second was not.
+        assert _hops_sent(settled) == hops_before + 1
+        assert _accounting(settled) == _accounting(reference)
+        assert settled.transport.rng.getstate() == \
+            reference.transport.rng.getstate()
